@@ -1,7 +1,5 @@
 #include "core/campaign.hpp"
 
-#include "sim/rng.hpp"
-
 namespace vds::core {
 
 std::string_view to_string(InjectionOutcome outcome) noexcept {
@@ -41,54 +39,6 @@ InjectionOutcome classify_outcome(const RunReport& report) noexcept {
   if (report.recoveries_ok > 0) return InjectionOutcome::kRecovered;
   if (report.rollbacks > 0) return InjectionOutcome::kRolledBack;
   return InjectionOutcome::kNoEffect;
-}
-
-std::vector<InjectionResult> run_injection_campaign(
-    const InjectionCampaign& campaign, const EngineRunner& runner) {
-  std::vector<InjectionResult> results;
-  results.reserve(campaign.kinds.size() * campaign.rounds.size());
-  vds::sim::Rng rng(campaign.seed);
-
-  for (const vds::fault::FaultKind kind : campaign.kinds) {
-    for (const std::uint64_t round : campaign.rounds) {
-      vds::fault::Fault fault;
-      fault.kind = kind;
-      fault.victim = rng.bernoulli(0.5)
-                         ? vds::fault::Victim::kVersion1
-                         : vds::fault::Victim::kVersion2;
-      fault.location = static_cast<std::uint32_t>(rng.uniform_index(16));
-      fault.word = static_cast<std::uint32_t>(rng.uniform_index(1u << 16));
-      fault.bit = static_cast<std::uint8_t>(rng.uniform_index(64));
-      fault.when = (static_cast<double>(round) - 1.0) *
-                       campaign.round_time +
-                   campaign.offset * campaign.round_time;
-      vds::fault::FaultTimeline timeline({fault});
-
-      const RunReport report = runner(timeline);
-
-      InjectionResult result;
-      result.kind = kind;
-      result.round = round;
-      result.outcome = classify_outcome(report);
-      result.detection_latency = report.detection_latency.empty()
-                                     ? -1.0
-                                     : report.detection_latency.mean();
-      result.recovery_time = report.recovery_time.empty()
-                                 ? 0.0
-                                 : report.recovery_time.mean();
-      results.push_back(result);
-    }
-  }
-  return results;
-}
-
-CampaignSummary summarize(const std::vector<InjectionResult>& results) {
-  CampaignSummary summary;
-  for (const InjectionResult& result : results) {
-    ++summary.by_outcome[static_cast<std::size_t>(result.outcome)];
-    ++summary.injections;
-  }
-  return summary;
 }
 
 }  // namespace vds::core

@@ -2,13 +2,9 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <string>
-#include <vector>
+#include <string_view>
 
 #include "core/report.hpp"
-#include "fault/fault_model.hpp"
-#include "fault/injector.hpp"
 
 namespace vds::core {
 
@@ -27,19 +23,10 @@ enum class InjectionOutcome : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(InjectionOutcome outcome) noexcept;
 
-/// Classifies one run report into an outcome (shared by the
-/// sequential grid campaign and the Monte Carlo runtime).
+/// Classifies one run report into an outcome (the Monte Carlo runtime
+/// stores one per cell).
 [[nodiscard]] InjectionOutcome classify_outcome(
     const RunReport& report) noexcept;
-
-/// One cell of the campaign grid.
-struct InjectionResult {
-  vds::fault::FaultKind kind = vds::fault::FaultKind::kTransient;
-  std::uint64_t round = 0;  ///< detection-interval round the fault hit
-  InjectionOutcome outcome = InjectionOutcome::kNoEffect;
-  double detection_latency = -1.0;  ///< -1 when never detected
-  double recovery_time = 0.0;
-};
 
 /// Aggregated campaign statistics.
 struct CampaignSummary {
@@ -61,34 +48,5 @@ struct CampaignSummary {
 
   [[nodiscard]] bool operator==(const CampaignSummary&) const = default;
 };
-
-/// Campaign configuration: which single faults to inject, one run per
-/// grid cell. `runner` executes the engine under test against the
-/// provided timeline and returns its report; the campaign classifies.
-struct InjectionCampaign {
-  std::vector<vds::fault::FaultKind> kinds = {
-      vds::fault::FaultKind::kTransient, vds::fault::FaultKind::kCrash,
-      vds::fault::FaultKind::kPermanent,
-      vds::fault::FaultKind::kProcessorCrash};
-  /// Rounds (since the checkpoint) at which to inject, 1-based.
-  std::vector<std::uint64_t> rounds = {1, 5, 10, 15, 20};
-  /// Round-pair duration of the engine under test (locates the
-  /// injection instant inside the target round).
-  double round_time = 1.4;
-  /// Fractional offset within the round window.
-  double offset = 0.3;
-  std::uint64_t seed = 1;
-};
-
-using EngineRunner =
-    std::function<RunReport(vds::fault::FaultTimeline& timeline)>;
-
-/// Runs the campaign: for every (kind, round) cell, builds a single-
-/// fault timeline and invokes `runner` on a fresh engine.
-[[nodiscard]] std::vector<InjectionResult> run_injection_campaign(
-    const InjectionCampaign& campaign, const EngineRunner& runner);
-
-[[nodiscard]] CampaignSummary summarize(
-    const std::vector<InjectionResult>& results);
 
 }  // namespace vds::core

@@ -10,11 +10,10 @@ namespace vds::core {
 
 /// Uniform face of every protocol engine (SMT VDS, conventional VDS,
 /// lockstep SRT, physical duplex): run one job against a fault
-/// timeline and account for it in a RunReport. Campaign drivers
-/// (core::run_injection_campaign, runtime::run_mc_campaign) and the
-/// CLIs sweep engines exclusively through this interface; new engines
-/// plug in by implementing it and registering a constructor in
-/// scenario::make_engine.
+/// timeline and account for it in a RunReport. The campaign runtime
+/// (runtime::run_mc_campaign) and the CLIs sweep engines exclusively
+/// through this interface; new engines plug in by implementing it and
+/// registering a constructor in scenario::make_engine.
 class Engine {
  public:
   virtual ~Engine() = default;

@@ -185,8 +185,6 @@ void SmtRecoveryPolicy::recover(ProtocolCore& core) {
   if (consult_predictor) {
     evidence.round = c.base_ + ic;
     evidence.location = c.pending_location_;
-    evidence.digest_v1 = c.a_.state.digest();
-    evidence.digest_v2 = c.b_.state.digest();
     if (c.a_.crashed) evidence.crashed = VersionGuess::kVersion1;
     if (c.b_.crashed) evidence.crashed = VersionGuess::kVersion2;
     // An oracle predictor is told the ground truth out-of-band.
@@ -290,12 +288,14 @@ void SmtRecoveryPolicy::recover(ProtocolCore& core) {
   if (rf > 0 && (scheme_prob || scheme_predict)) {
     // Start from the state of the *predicted fault-free* version.
     chosen_source_slot = guessed_faulty_slot == 0 ? 1 : 0;
-    const VersionState& source =
-        chosen_source_slot == 0 ? c.a_.state : c.b_.state;
-    roll_a = source;
-    roll_b = source;
+    const EngineSlot& source = chosen_source_slot == 0 ? c.a_ : c.b_;
+    roll_a = source.state;
+    roll_b = source.state;
+    // Probabilistic runs both versions and compares; predict runs only
+    // the predicted fault-free version.
+    const int version_a = scheme_prob ? c.a_.version_id : source.version_id;
     for (std::uint64_t r = 1; r <= rf; ++r) {
-      c.vset_.advance(roll_a, c.base_ + ic + r, c.a_.version_id);
+      c.vset_.advance(roll_a, c.base_ + ic + r, version_a);
       if (scheme_prob) {
         c.vset_.advance(roll_b, c.base_ + ic + r, c.b_.version_id);
       }

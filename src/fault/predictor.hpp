@@ -25,9 +25,6 @@ struct FaultEvidence {
   /// Abstract hardware location implicated by the failure symptom
   /// (e.g. which unit raised a machine-check); 0-based, < locations.
   std::uint32_t location = 0;
-  /// Digests of the two candidate states (available, rarely useful).
-  std::uint64_t digest_v1 = 0;
-  std::uint64_t digest_v2 = 0;
 };
 
 /// Interface of a faulty-version predictor. The VDS asks for a guess at

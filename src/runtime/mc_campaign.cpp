@@ -91,9 +91,8 @@ McCell cell_at(const McConfig& config, std::uint64_t index) {
   return cell;
 }
 
-/// Draws the cell's fault. The draw order matches the sequential
-/// campaign (victim, location, word, bit) with the offset appended,
-/// every value coming from the cell's private substream.
+/// Draws the cell's fault: victim, location, word, bit, then the
+/// offset, every value coming from the cell's private substream.
 vds::fault::Fault draw_fault(const McConfig& config, const McCell& cell,
                              vds::sim::Rng& rng) {
   vds::fault::Fault fault;

@@ -25,8 +25,8 @@ class Journal;
 class JsonWriter;
 class ThreadPool;
 
-/// Monte Carlo injection-campaign configuration. The grid is the same
-/// (fault kind × detection round) lattice as core::InjectionCampaign;
+/// Monte Carlo injection-campaign configuration. The grid is the
+/// (fault kind × detection round) lattice of single-fault injection;
 /// `replicas` runs every cell that many times with an independently
 /// randomized fault position, turning the grid into a Monte Carlo
 /// estimate of the paper's expectations over fault position (the
@@ -43,7 +43,8 @@ struct McConfig {
   double round_time = 1.4;
   /// When true (the Monte Carlo default) each replica draws its own
   /// fractional offset inside the round window; when false all cells
-  /// use `fixed_offset` (the sequential campaign's behavior).
+  /// use `fixed_offset`, so every replica of a cell sees the same
+  /// fault instant.
   bool jitter_offset = true;
   double fixed_offset = 0.3;
   std::uint64_t seed = 1;

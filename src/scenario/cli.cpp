@@ -143,7 +143,7 @@ bool apply_scenario_flag(Scenario& scenario, std::string_view arg,
     scenario.rounds = args.value_u64(arg);
     return true;
   }
-  if (arg == "--threads") {
+  if (arg == "--hw-threads") {
     scenario.threads = args.value_int(arg);
     return true;
   }
@@ -213,7 +213,7 @@ std::string_view scenario_usage() noexcept {
   --beta X                       c = t_cmp = beta * t       [0.1]
   --s N                          checkpoint interval        [20]
   --rounds N                     job length in rounds       [10000]
-  --threads 2|3|5                hardware threads           [2]
+  --hw-threads 2|3|5             SMT hardware threads       [2]
   --seed N                       RNG seed                   [1]
   --rate X                       Poisson fault rate         [0.01]
   --crash-weight X               crash fault fraction       [0]

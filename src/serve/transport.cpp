@@ -42,6 +42,8 @@ void read_connection(Server& server, std::shared_ptr<FdSink> sink, int fd) {
             "request line exceeds " + std::to_string(kMaxLineBytes) +
                 " bytes"));
         break;
+      case LineReader::Status::kTimeout:
+        break;  // next() retries its own poll timeouts; not reached
       case LineReader::Status::kEof:
       case LineReader::Status::kDrain:
       case LineReader::Status::kError:
@@ -243,6 +245,8 @@ int serve_stdio(Server& server) {
             "request line exceeds " + std::to_string(kMaxLineBytes) +
                 " bytes"));
         break;
+      case LineReader::Status::kTimeout:
+        break;  // next() retries its own poll timeouts; not reached
       case LineReader::Status::kDrain:
         server.finish();
         return 130;

@@ -25,10 +25,11 @@ TEST(FabricProtocol, Hex16RoundTrip) {
   EXPECT_EQ(hex16(0xdeadbeefcafef00dull), "deadbeefcafef00d");
   EXPECT_EQ(parse_hex64("deadbeefcafef00d"), 0xdeadbeefcafef00dull);
   EXPECT_EQ(parse_hex64("0"), 0u);
-  EXPECT_THROW(parse_hex64(""), std::invalid_argument);
-  EXPECT_THROW(parse_hex64("DEADBEEF"), std::invalid_argument);  // lowercase
-  EXPECT_THROW(parse_hex64("12345678901234567"), std::invalid_argument);
-  EXPECT_THROW(parse_hex64("xyz"), std::invalid_argument);
+  EXPECT_THROW((void)parse_hex64(""), std::invalid_argument);
+  // Lowercase only.
+  EXPECT_THROW((void)parse_hex64("DEADBEEF"), std::invalid_argument);
+  EXPECT_THROW((void)parse_hex64("12345678901234567"), std::invalid_argument);
+  EXPECT_THROW((void)parse_hex64("xyz"), std::invalid_argument);
 }
 
 TEST(FabricProtocol, HelloRoundTrip) {
@@ -112,10 +113,11 @@ TEST(FabricProtocol, ResultRoundTripsBothStatuses) {
 
 TEST(FabricProtocol, DoneAndClassifyErrors) {
   EXPECT_EQ(classify(parse(format_done())), MessageKind::kDone);
-  EXPECT_THROW(classify(parse("{\"no_schema\":1}")), std::invalid_argument);
-  EXPECT_THROW(classify(parse("{\"schema\":\"vds.bogus.v1\"}")),
+  EXPECT_THROW((void)classify(parse("{\"no_schema\":1}")),
                std::invalid_argument);
-  EXPECT_THROW(classify(parse("[1,2]")), std::invalid_argument);
+  EXPECT_THROW((void)classify(parse("{\"schema\":\"vds.bogus.v1\"}")),
+               std::invalid_argument);
+  EXPECT_THROW((void)classify(parse("[1,2]")), std::invalid_argument);
 }
 
 TEST(FabricProtocol, ConfigRoundTripPreservesFingerprint) {

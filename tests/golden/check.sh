@@ -1,10 +1,10 @@
 #!/bin/sh
 # Golden seed-equivalence check, run by ctest (test name
-# `golden_seed_equivalence`). Re-runs every manifest cell plus the
-# vds_mc / vds_sweep fixtures against the committed corpus; any byte of
-# drift is a behaviour change and fails the test. vds_mc and vds_sweep
-# are exercised at two thread counts, so thread-count independence is
-# checked in the same pass.
+# `golden_seed_equivalence`). Re-runs every manifest cell, the vds_mc /
+# vds_sweep fixtures and the E17 injection table (bench_injection)
+# against the committed corpus; any byte of drift is a behaviour change
+# and fails the test. vds_mc and vds_sweep are exercised at two thread
+# counts, so thread-count independence is checked in the same pass.
 set -eu
 
 build=${1:?usage: check.sh BUILD_DIR}
@@ -46,6 +46,13 @@ for threads in 1 3; do
     fail=1
   fi
 done
+
+"$build/bench/bench_injection" > "$tmp/e17_injection.txt"
+if ! cmp -s "$here/e17_injection.txt" "$tmp/e17_injection.txt"; then
+  echo "MISMATCH e17_injection.txt"
+  diff "$here/e17_injection.txt" "$tmp/e17_injection.txt" || true
+  fail=1
+fi
 
 [ "$fail" -eq 0 ] && echo "all golden outputs bitwise identical"
 exit "$fail"

@@ -14,6 +14,7 @@ here=$(dirname "$0")
 cli=$build/tools/vds_cli
 mc=$build/tools/vds_mc
 sweep=$build/tools/vds_sweep
+injection=$build/bench/bench_injection
 
 mkdir -p "$here/run_report"
 while IFS='|' read -r name args; do
@@ -33,3 +34,6 @@ printf 'wrote sweep_schemes.csv\n'
 
 "$sweep" --dataset engines --threads 1 > "$here/sweep_engines.csv"
 printf 'wrote sweep_engines.csv\n'
+
+"$injection" > "$here/e17_injection.txt"
+printf 'wrote e17_injection.txt\n'

@@ -17,41 +17,41 @@ TEST(StrictParse, DoubleConsumesWholeToken) {
   EXPECT_DOUBLE_EQ(parse_double("--x", "0.25"), 0.25);
   EXPECT_DOUBLE_EQ(parse_double("--x", "-3"), -3.0);
   EXPECT_DOUBLE_EQ(parse_double("--x", "1e-3"), 1e-3);
-  EXPECT_THROW(parse_double("--x", ""), CliError);
-  EXPECT_THROW(parse_double("--x", "bogus"), CliError);
-  EXPECT_THROW(parse_double("--x", "1.5x"), CliError);
-  EXPECT_THROW(parse_double("--x", "nan"), CliError);
-  EXPECT_THROW(parse_double("--x", "inf"), CliError);
+  EXPECT_THROW((void)parse_double("--x", ""), CliError);
+  EXPECT_THROW((void)parse_double("--x", "bogus"), CliError);
+  EXPECT_THROW((void)parse_double("--x", "1.5x"), CliError);
+  EXPECT_THROW((void)parse_double("--x", "nan"), CliError);
+  EXPECT_THROW((void)parse_double("--x", "inf"), CliError);
 }
 
 TEST(StrictParse, U64RejectsSignsAndOverflow) {
   EXPECT_EQ(parse_u64("--x", "0"), 0u);
   EXPECT_EQ(parse_u64("--x", "18446744073709551615"),
             18446744073709551615ull);
-  EXPECT_THROW(parse_u64("--x", "-1"), CliError);
-  EXPECT_THROW(parse_u64("--x", "+1"), CliError);
-  EXPECT_THROW(parse_u64("--x", "1.5"), CliError);
-  EXPECT_THROW(parse_u64("--x", "18446744073709551616"), CliError);
-  EXPECT_THROW(parse_u64("--x", ""), CliError);
+  EXPECT_THROW((void)parse_u64("--x", "-1"), CliError);
+  EXPECT_THROW((void)parse_u64("--x", "+1"), CliError);
+  EXPECT_THROW((void)parse_u64("--x", "1.5"), CliError);
+  EXPECT_THROW((void)parse_u64("--x", "18446744073709551616"), CliError);
+  EXPECT_THROW((void)parse_u64("--x", ""), CliError);
 }
 
 TEST(StrictParse, IntRangeChecked) {
   EXPECT_EQ(parse_int("--x", "-42"), -42);
   EXPECT_EQ(parse_int("--x", "2147483647"), 2147483647);
-  EXPECT_THROW(parse_int("--x", "2147483648"), CliError);
-  EXPECT_THROW(parse_int("--x", "-2147483649"), CliError);
-  EXPECT_THROW(parse_int("--x", "12abc"), CliError);
+  EXPECT_THROW((void)parse_int("--x", "2147483648"), CliError);
+  EXPECT_THROW((void)parse_int("--x", "-2147483649"), CliError);
+  EXPECT_THROW((void)parse_int("--x", "12abc"), CliError);
 }
 
 TEST(StrictParse, UnsignedRangeChecked) {
   EXPECT_EQ(parse_unsigned("--x", "8"), 8u);
-  EXPECT_THROW(parse_unsigned("--x", "-8"), CliError);
-  EXPECT_THROW(parse_unsigned("--x", "4294967296"), CliError);
+  EXPECT_THROW((void)parse_unsigned("--x", "-8"), CliError);
+  EXPECT_THROW((void)parse_unsigned("--x", "4294967296"), CliError);
 }
 
 TEST(StrictParse, ErrorNamesTheFlag) {
   try {
-    parse_double("--alpha", "bogus");
+    (void)parse_double("--alpha", "bogus");
     FAIL() << "expected CliError";
   } catch (const CliError& error) {
     const std::string what = error.what();
@@ -127,7 +127,7 @@ TEST(ScenarioFlags, ParsesEveryFlag) {
   const Scenario scenario = parse_flags(
       {"--engine", "duplex", "--scheme", "retry", "--predictor", "oracle",
        "--adaptive", "--alpha", "0.7", "--beta", "0.2", "--s", "10",
-       "--rounds", "500", "--threads", "3", "--seed", "99", "--rate",
+       "--rounds", "500", "--hw-threads", "3", "--seed", "99", "--rate",
        "0.05", "--crash-weight", "0.1", "--permanent-weight", "0.2",
        "--bias", "0.6", "--locations", "8", "--skew", "0.5"});
   EXPECT_EQ(scenario.engine, EngineKind::kDuplex);
@@ -166,14 +166,17 @@ TEST(ScenarioFlags, RejectsBadValues) {
 }
 
 TEST(ScenarioFlags, UnknownFlagFallsThrough) {
-  Scenario scenario;
-  std::string prog = "test";
-  std::string flag = "--frobnicate";
-  char* argv[] = {prog.data(), flag.data()};
-  ArgCursor args(2, argv);
-  const std::string arg(args.next());
-  EXPECT_FALSE(apply_scenario_flag(scenario, arg, args));
-  EXPECT_EQ(scenario, Scenario{});  // untouched on fall-through
+  // --threads is not a scenario flag: it falls through to each tool's
+  // worker-thread parser (the SMT context count is --hw-threads).
+  for (std::string flag : {"--frobnicate", "--threads"}) {
+    Scenario scenario;
+    std::string prog = "test";
+    char* argv[] = {prog.data(), flag.data()};
+    ArgCursor args(2, argv);
+    const std::string arg(args.next());
+    EXPECT_FALSE(apply_scenario_flag(scenario, arg, args)) << flag;
+    EXPECT_EQ(scenario, Scenario{});  // untouched on fall-through
+  }
 }
 
 // --- engine factory ---------------------------------------------------

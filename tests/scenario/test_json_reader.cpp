@@ -39,18 +39,18 @@ TEST(JsonReader, U64FullPrecision) {
 }
 
 TEST(JsonReader, U64RejectsSignFractionExponentAndOverflow) {
-  EXPECT_THROW(parse_json("-1").as_u64("x"), JsonError);
-  EXPECT_THROW(parse_json("1.5").as_u64("x"), JsonError);
-  EXPECT_THROW(parse_json("1e3").as_u64("x"), JsonError);
-  EXPECT_THROW(parse_json("18446744073709551616").as_u64("x"), JsonError);
+  EXPECT_THROW((void)parse_json("-1").as_u64("x"), JsonError);
+  EXPECT_THROW((void)parse_json("1.5").as_u64("x"), JsonError);
+  EXPECT_THROW((void)parse_json("1e3").as_u64("x"), JsonError);
+  EXPECT_THROW((void)parse_json("18446744073709551616").as_u64("x"), JsonError);
   EXPECT_EQ(parse_json("0").as_u64("x"), 0u);
 }
 
 TEST(JsonReader, TypeMismatchesThrow) {
-  EXPECT_THROW(parse_json("3").as_string("x"), JsonError);
-  EXPECT_THROW(parse_json("\"3\"").as_double("x"), JsonError);
-  EXPECT_THROW(parse_json("true").as_int("x"), JsonError);
-  EXPECT_THROW(parse_json("[1]").as_bool("x"), JsonError);
+  EXPECT_THROW((void)parse_json("3").as_string("x"), JsonError);
+  EXPECT_THROW((void)parse_json("\"3\"").as_double("x"), JsonError);
+  EXPECT_THROW((void)parse_json("true").as_int("x"), JsonError);
+  EXPECT_THROW((void)parse_json("[1]").as_bool("x"), JsonError);
 }
 
 TEST(JsonReader, StringEscapes) {
@@ -79,7 +79,7 @@ TEST(JsonReader, RejectsDuplicateKeys) {
 
 TEST(JsonReader, ErrorCarriesOffset) {
   try {
-    parse_json("{\"a\": bogus}");
+    (void)parse_json("{\"a\": bogus}");
     FAIL() << "expected JsonError";
   } catch (const JsonError& error) {
     EXPECT_GT(error.offset(), 0u);

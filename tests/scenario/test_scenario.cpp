@@ -16,9 +16,9 @@ TEST(EngineKindNames, ExhaustiveRoundTrip) {
     EXPECT_EQ(parse_engine_kind(to_string(kind)), kind)
         << to_string(kind);
   }
-  EXPECT_THROW(parse_engine_kind("bogus"), std::invalid_argument);
-  EXPECT_THROW(parse_engine_kind(""), std::invalid_argument);
-  EXPECT_THROW(parse_engine_kind("SMT"), std::invalid_argument);
+  EXPECT_THROW((void)parse_engine_kind("bogus"), std::invalid_argument);
+  EXPECT_THROW((void)parse_engine_kind(""), std::invalid_argument);
+  EXPECT_THROW((void)parse_engine_kind("SMT"), std::invalid_argument);
 }
 
 TEST(EngineKindNames, ListIsGeneratedFromTheRegistry) {

@@ -8,7 +8,9 @@
 #   3. every relative markdown link in README/DESIGN/EXPERIMENTS and
 #      docs/ points at a file that exists;
 #   4. every engine kind the built tools accept has its own section
-#      heading in docs/ENGINES.md (the engine handbook).
+#      heading in docs/ENGINES.md (the engine handbook);
+#   5. `--threads` keeps one meaning (worker threads): the modeled SMT
+#      context count is `--hw-threads` in every scenario-taking tool.
 # Usage: check_docs.sh BUILD_DIR [REPO_ROOT]
 set -u
 
@@ -100,6 +102,17 @@ kinds="$("$build/tools/vds_cli" --engine definitely-bogus 2>&1 |
 for kind in $kinds; do
   if ! grep -qE "^##+ .*\`$kind\`" "$engines_doc"; then
     fail "engine kind '$kind' has no heading in docs/ENGINES.md"
+  fi
+done
+
+# --- 5. --threads means worker threads, --hw-threads SMT contexts -----
+for tool in vds_cli vds_mc vds_fabric; do
+  help="$("$build/tools/$tool" --help 2>&1)"
+  if printf '%s\n' "$help" | grep -qE '^\s*--threads 2\|3\|5'; then
+    fail "$tool --help gives --threads the SMT-context meaning"
+  fi
+  if ! printf '%s\n' "$help" | grep -qE '^\s*--hw-threads 2\|3\|5'; then
+    fail "$tool --help does not list --hw-threads 2|3|5"
   fi
 done
 

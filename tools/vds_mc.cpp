@@ -146,9 +146,8 @@ int run_mc(int argc, char** argv) {
   vds::scenario::ArgCursor args(argc, argv);
   while (!args.done()) {
     const std::string arg(args.next());
-    // Campaign flags claim --threads/--seed/--job-rounds before the
-    // scenario parser: for vds_mc they mean worker threads, campaign
-    // seed and job length, not the engine's SMT-context count.
+    // Campaign flags claim --seed/--job-rounds before the scenario
+    // parser: for vds_mc they mean the campaign seed and job length.
     if (arg == "--help" || arg == "-h") {
       print_usage(stdout);
       return 0;
